@@ -6,6 +6,10 @@
 // session is dropped. Shorter transmissions (the energy-aware pipeline's
 // grouped transfers) hold channels for less time, so the same pool supports
 // more users at equal dropping probability (Fig. 11).
+//
+// Simulate, Fig. 11's method, is a Monte-Carlo run. The fleet's
+// weighted distributions (Dist) are answered from Erlang B, which
+// the loss system's insensitivity makes exact at every population.
 package capacity
 
 import (

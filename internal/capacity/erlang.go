@@ -55,15 +55,19 @@ func (c Config) AnalyticDropPercent(users int, meanServiceS float64) (float64, e
 
 // AnalyticSupportedUsers inverts AnalyticDropPercent by bisection: the
 // largest population whose analytic blocking stays at or below
-// maxDropPercent.
+// maxDropPercent, or 0 when a single user already exceeds it. Erlang B is
+// monotone in offered load, so the bisection lands on the exact boundary.
 func (c Config) AnalyticSupportedUsers(meanServiceS float64, maxDropPercent float64) (int, error) {
+	if err := c.Validate(); err != nil {
+		return 0, err
+	}
 	if meanServiceS <= 0 {
 		return 0, errors.New("capacity: non-positive service time")
 	}
 	if maxDropPercent <= 0 || maxDropPercent >= 100 {
 		return 0, fmt.Errorf("capacity: drop target %v%% out of (0,100)", maxDropPercent)
 	}
-	lo, hi := 1, 2
+	lo, hi := 0, 1
 	for {
 		drop, err := c.AnalyticDropPercent(hi, meanServiceS)
 		if err != nil {

@@ -126,3 +126,41 @@ func TestAnalyticValidation(t *testing.T) {
 		t.Fatal("zero target accepted")
 	}
 }
+
+func TestAnalyticSupportedUsers(t *testing.T) {
+	oneChannel := DefaultConfig()
+	oneChannel.Channels = 1
+	noInterval := DefaultConfig()
+	noInterval.MeanSessionInterval = 0
+	tests := []struct {
+		name   string
+		cfg    Config
+		meanS  float64
+		target float64
+		want   int
+	}{
+		// B(1, 1.2) = 54.5%: a single user already exceeds 2%.
+		{"one user over target", oneChannel, 30, 2, 0},
+		// B(1, 1.2) = 54.5% ≤ 60% < B(1, 2.4) = 70.6%.
+		{"one user under target", oneChannel, 30, 60, 1},
+		// B(200, 186) = 1.97% ≤ 2% < B(200, 187.2) = 2.20%.
+		{"paper config", DefaultConfig(), 30, 2, 155},
+		{"paper config, shorter service", DefaultConfig(), 21, 2, 221},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got, err := tt.cfg.AnalyticSupportedUsers(tt.meanS, tt.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tt.want {
+				t.Fatalf("AnalyticSupportedUsers(%v, %v) = %d, want %d", tt.meanS, tt.target, got, tt.want)
+			}
+		})
+	}
+	// An invalid config is reported as such, not as a search failure.
+	_, err := noInterval.AnalyticSupportedUsers(30, 2)
+	if want := noInterval.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("zero session interval: got %v, want %v", err, want)
+	}
+}

@@ -24,7 +24,8 @@
 # baseline); pass -f to override.
 #
 # The JSON is an object with run metadata plus one record per benchmark:
-#   {"go": "...", "commit": "...", "benchmarks": [
+#   {"go": "...", "commit": "...", "source_sha256": "...", "dirty": false,
+#    "benchmarks": [
 #     {"name": "...", "iterations": N, "ns_per_op": ..., "b_per_op": ...,
 #      "allocs_per_op": ..., "extra": {"trees": ...}}, ...]}
 #
@@ -105,8 +106,18 @@ esac
 
 gover="$(go version | awk '{print $3}')"
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# commit is HEAD when the snapshot is written, which is the parent of a
+# change that regenerates its own snapshot. source_sha256 names the code
+# measured: the tracked Go sources (path and content) as they are on disk.
+# dirty records whether the tree differed from HEAD.
+src_sha="$(git ls-files -z -- '*.go' 'go.mod' '*/go.mod' 2>/dev/null |
+	xargs -0 -r sha256sum | sha256sum | cut -d' ' -f1)"
+dirty=false
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+	dirty=true
+fi
 
-awk -v gover="$gover" -v commit="$commit" '
+awk -v gover="$gover" -v commit="$commit" -v src="$src_sha" -v dirty="$dirty" '
   /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)  # strip GOMAXPROCS suffix
@@ -132,7 +143,8 @@ awk -v gover="$gover" -v commit="$commit" '
     recs[++n] = rec
   }
   END {
-    printf "{\n  \"go\": \"%s\",\n  \"commit\": \"%s\",\n  \"benchmarks\": [\n", gover, commit
+    printf "{\n  \"go\": \"%s\",\n  \"commit\": \"%s\",\n", gover, commit
+    printf "  \"source_sha256\": \"%s\",\n  \"dirty\": %s,\n  \"benchmarks\": [\n", src, dirty
     for (i = 1; i <= n; i++) printf "    %s%s\n", recs[i], (i < n ? "," : "")
     printf "  ]\n}\n"
   }
