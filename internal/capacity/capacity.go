@@ -7,18 +7,23 @@
 // grouped transfers) hold channels for less time, so the same pool supports
 // more users at equal dropping probability (Fig. 11).
 //
-// Simulate, Fig. 11's method, is a Monte-Carlo run. The fleet's
-// weighted distributions (Dist) are answered from Erlang B, which
-// the loss system's insensitivity makes exact at every population.
+// Simulate, Fig. 11's method, is a Monte-Carlo run on a dedicated
+// event loop: two value-typed heaps (pending arrivals, pending releases)
+// replace the general simtime queue and allocate nothing per event, with the
+// queue's event order and rng draw sequence kept exactly. The fleet's
+// weighted distributions (Dist) are answered from Erlang B, which the loss
+// system's insensitivity makes exact at every population.
 package capacity
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
-	"eabrowse/internal/simtime"
+	"eabrowse/internal/runner"
 )
 
 // Config parameterizes the queueing model (Section 5.4's values).
@@ -70,52 +75,61 @@ type Result struct {
 // generating sessions whose service times are drawn from the empirical
 // serviceTimes distribution (seconds) — in the paper, the measured per-page
 // data-transmission times of the pipeline under test.
+//
+// The run is a discrete-event loop over two min-heaps ordered by (time,
+// scheduling sequence): one pending arrival per user, and one release per
+// busy channel (so the release heap's size is the busy count). An arrival
+// draws its service time, then its user's next arrival; of two events at the
+// same instant the one scheduled first runs first. The loop allocates
+// nothing per event.
 func Simulate(users int, serviceTimes []float64, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkInputs(serviceTimes, cfg); err != nil {
 		return Result{}, err
 	}
 	if users <= 0 {
 		return Result{}, errors.New("capacity: need at least one user")
 	}
-	if len(serviceTimes) == 0 {
-		return Result{}, errors.New("capacity: empty service-time distribution")
+	holds := make([]time.Duration, len(serviceTimes))
+	for i, s := range serviceTimes {
+		holds[i] = time.Duration(s * float64(time.Second))
 	}
-	for _, s := range serviceTimes {
-		if s <= 0 {
-			return Result{}, fmt.Errorf("capacity: non-positive service time %v", s)
-		}
-	}
-
-	clock := simtime.NewClock()
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	interval := float64(cfg.MeanSessionInterval)
+
+	arrivals := make(eventHeap, users)
+	for u := range arrivals {
+		arrivals[u] = event{at: after(0, time.Duration(rng.ExpFloat64()*interval)), seq: uint64(u)}
+	}
+	arrivals.init()
+	releases := make(eventHeap, 0, cfg.Channels)
+	seq := uint64(users)
 	res := Result{Users: users}
-	busy := 0
-
-	sample := func() time.Duration {
-		return time.Duration(serviceTimes[rng.Intn(len(serviceTimes))] * float64(time.Second))
-	}
-	nextArrival := func() time.Duration {
-		return time.Duration(rng.ExpFloat64() * float64(cfg.MeanSessionInterval))
-	}
-
-	var arrive func()
-	arrive = func() {
+	for {
+		next := arrivals[0]
+		if len(releases) > 0 && releases[0].before(next) {
+			if releases[0].at > cfg.Duration {
+				break
+			}
+			releases.pop()
+			continue
+		}
+		if next.at > cfg.Duration {
+			break
+		}
+		now := next.at
 		res.Offered++
-		if busy >= cfg.Channels {
+		if len(releases) >= cfg.Channels {
 			res.Dropped++
 		} else {
-			busy++
-			if busy > res.MaxBusy {
-				res.MaxBusy = busy
+			releases.push(event{at: after(now, holds[rng.Intn(len(holds))]), seq: seq})
+			seq++
+			if len(releases) > res.MaxBusy {
+				res.MaxBusy = len(releases)
 			}
-			clock.After(sample(), func() { busy-- })
 		}
-		clock.After(nextArrival(), arrive)
+		arrivals.fill(0, event{at: after(now, time.Duration(rng.ExpFloat64()*interval)), seq: seq})
+		seq++
 	}
-	for u := 0; u < users; u++ {
-		clock.After(nextArrival(), arrive)
-	}
-	clock.RunUntil(cfg.Duration)
 
 	if res.Offered > 0 {
 		res.DropPercent = float64(res.Dropped) / float64(res.Offered) * 100
@@ -123,17 +137,145 @@ func Simulate(users int, serviceTimes []float64, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// Sweep runs Simulate for each user count and returns the results in order.
-func Sweep(userCounts []int, serviceTimes []float64, cfg Config) ([]Result, error) {
-	out := make([]Result, 0, len(userCounts))
-	for _, u := range userCounts {
-		r, err := Simulate(u, serviceTimes, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+// checkInputs validates the configuration and the service times: each must
+// be a positive, finite number of seconds that fits a time.Duration.
+func checkInputs(serviceTimes []float64, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	return out, nil
+	if len(serviceTimes) == 0 {
+		return errors.New("capacity: empty service-time distribution")
+	}
+	for _, s := range serviceTimes {
+		if err := checkServiceTime(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkServiceTime rejects a service time (seconds) that is not positive, is
+// not finite, or overflows time.Duration once converted to nanoseconds.
+func checkServiceTime(s float64) error {
+	switch {
+	case math.IsNaN(s) || math.IsInf(s, 0):
+		return fmt.Errorf("capacity: non-finite service time %v", s)
+	case s <= 0:
+		return fmt.Errorf("capacity: non-positive service time %v", s)
+	case s*float64(time.Second) >= math.MaxInt64:
+		return fmt.Errorf("capacity: service time %v s overflows time.Duration", s)
+	}
+	return nil
+}
+
+// after returns the instant d after now. A negative d (a float conversion
+// out of the Duration range) counts as zero, and a sum past the largest
+// Duration saturates instead of wrapping into the past.
+func after(now, d time.Duration) time.Duration {
+	if d < 0 {
+		d = 0
+	}
+	if at := now + d; at >= now {
+		return at
+	}
+	return math.MaxInt64
+}
+
+// event is one pending arrival or release. seq is its scheduling order,
+// unique within a run, so (at, seq) orders every event strictly.
+type event struct {
+	at  time.Duration
+	seq uint64
+}
+
+func (e event) before(o event) bool { return earlier(e, o) == 1 }
+
+// earlier returns 1 if a orders before b and 0 otherwise: the borrow out of
+// the 128-bit subtraction (a.at:a.seq) − (b.at:b.seq), exact because times
+// are never negative. A sift adds it to a child index, so choosing the
+// earlier of two children costs no branch.
+func earlier(a, b event) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
+}
+
+// eventHeap is a binary min-heap of events held by value.
+type eventHeap []event
+
+// init orders an arbitrary slice into a heap.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.fill(i, h[i])
+	}
+}
+
+// fill places e in the subtree rooted at top, overwriting the event there
+// (the one just run, or moved). It walks the hole down the path of earlier
+// children to a leaf, then sifts e up from there: a new event usually
+// belongs near the leaves, so this takes about one comparison per level
+// where a plain sift-down takes two.
+func (h eventHeap) fill(top int, e event) {
+	n := len(h)
+	i := top
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n {
+			c += earlier(h[c+1], h[c])
+		}
+		h[i] = h[c]
+		i = c
+	}
+	for i > top {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+}
+
+// push adds e, sifting it toward the root.
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+}
+
+// pop removes the earliest event.
+func (h *eventHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	*h = q[:n]
+	if n > 0 {
+		q[:n].fill(0, q[n])
+	}
+}
+
+// Sweep runs Simulate for each user count and returns the results in order.
+// The points are independent runs of the same seed, so they run on the
+// runner pool and land by index: the output is the same at any worker count.
+func Sweep(userCounts []int, serviceTimes []float64, cfg Config) ([]Result, error) {
+	if err := checkInputs(serviceTimes, cfg); err != nil {
+		return nil, err
+	}
+	return runner.Collect(len(userCounts), func(i int) (Result, error) {
+		return Simulate(userCounts[i], serviceTimes, cfg)
+	})
 }
 
 // SupportedUsers finds (by bisection) the largest user population whose

@@ -1,8 +1,11 @@
 package capacity
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"eabrowse/internal/runner"
 )
 
 func fastConfig() Config {
@@ -41,6 +44,47 @@ func TestSimulateValidatesInputs(t *testing.T) {
 	}
 	if _, err := Simulate(10, []float64{0}, cfg); err == nil {
 		t.Fatal("zero service time accepted")
+	}
+}
+
+// TestRejectsNonFiniteServiceTimes: a service time that is NaN, infinite or
+// too long for a time.Duration is an error from every entry point, not a
+// silently clamped hold.
+func TestRejectsNonFiniteServiceTimes(t *testing.T) {
+	cfg := fastConfig()
+	for _, tt := range []struct {
+		name    string
+		service []float64
+	}{
+		{"NaN", []float64{math.NaN(), 1}},
+		{"+Inf", []float64{math.Inf(1)}},
+		{"-Inf", []float64{1, math.Inf(-1)}},
+		{"overflows Duration", []float64{1, math.MaxInt64 / 1e9 * 2}},
+		{"at the Duration limit", []float64{math.MaxInt64 / 1e9}},
+		{"largest float", []float64{math.MaxFloat64}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			if r, err := Simulate(50, tt.service, cfg); err == nil {
+				t.Errorf("Simulate accepted %v: %+v", tt.service, r)
+			}
+			if _, err := Sweep([]int{50}, tt.service, cfg); err == nil {
+				t.Errorf("Sweep accepted %v", tt.service)
+			}
+			if _, err := SupportedUsers(tt.service, 2, cfg); err == nil {
+				t.Errorf("SupportedUsers accepted %v", tt.service)
+			}
+			var d Dist
+			for _, v := range tt.service {
+				if err := d.Add(v, 1); err != nil {
+					return
+				}
+			}
+			t.Errorf("Dist.Add accepted every value of %v", tt.service)
+		})
+	}
+	// The longest hold that fits a Duration is still a valid service time.
+	if _, err := Simulate(5, []float64{9e9}, cfg); err != nil {
+		t.Fatalf("Simulate rejected a 9e9 s service time: %v", err)
 	}
 }
 
@@ -141,6 +185,31 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestSweepSameAtAnyWorkerCount: the sweep's points run on the runner pool
+// but land by index, so one worker and eight give identical results.
+func TestSweepSameAtAnyWorkerCount(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Channels = 30
+	users := []int{20, 40, 60, 80, 100}
+	service := []float64{4, 9, 17}
+	sweep := func(workers int) []Result {
+		prev := runner.Workers()
+		runner.SetWorkers(workers)
+		defer runner.SetWorkers(prev)
+		r, err := Sweep(users, service, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	seq, par := sweep(1), sweep(8)
+	for i := range seq {
+		if seq[i] != par[i] {
+			t.Fatalf("point %d: %+v at 1 worker, %+v at 8", i, seq[i], par[i])
+		}
+	}
+}
+
 func TestDeterministicWithSeed(t *testing.T) {
 	cfg := fastConfig()
 	a, err := Simulate(100, []float64{10, 20, 30}, cfg)
@@ -154,4 +223,26 @@ func TestDeterministicWithSeed(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
 	}
+}
+
+// BenchmarkSimulate runs one Fig. 11 sweep point: 500 users on the paper's
+// 200 channels for 4 hours, near the knee of the blocking curve. It reports
+// the cost per offered arrival, the unit the run time scales with.
+func BenchmarkSimulate(b *testing.B) {
+	benchmarkSimulate(b, Simulate)
+}
+
+func benchmarkSimulate(b *testing.B, simulate func(int, []float64, Config) (Result, error)) {
+	service := []float64{3.1, 5.4, 6.2, 8.8, 9.5, 12.7, 15.3, 21.9}
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	arrivals := 0
+	for i := 0; i < b.N; i++ {
+		r, err := simulate(500, service, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		arrivals += r.Offered
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
 }

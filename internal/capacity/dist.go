@@ -19,14 +19,14 @@ type Dist struct {
 
 // Add records n observations of value v (appending a new slot or widening an
 // existing one; lookup is linear, so callers with many distinct values should
-// pre-aggregate). n must be positive and v must be a positive duration in
-// seconds.
+// pre-aggregate). n must be positive and v must be a positive, finite
+// duration in seconds that fits a time.Duration.
 func (d *Dist) Add(v float64, n int64) error {
 	if n <= 0 {
 		return fmt.Errorf("capacity: non-positive weight %d", n)
 	}
-	if v <= 0 {
-		return fmt.Errorf("capacity: non-positive service time %v", v)
+	if err := checkServiceTime(v); err != nil {
+		return err
 	}
 	for i, have := range d.values {
 		if have == v {

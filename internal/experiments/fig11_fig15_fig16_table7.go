@@ -37,63 +37,77 @@ type Fig11Result struct {
 	Full   *Fig11Bench
 }
 
+// fig11Corpora lists Fig. 11's two benchmarks and the user counts each
+// sweeps.
+var fig11Corpora = []struct {
+	label string
+	pages func() ([]*webpage.Page, error)
+	sweep []int
+}{
+	{"mobile benchmark", MobilePages, []int{300, 350, 400, 450, 500, 550, 600, 650, 700}},
+	{"full benchmark", FullPages, []int{200, 220, 240, 260, 280, 300, 320, 340, 360}},
+}
+
+// fig11Modes are the two pipelines each benchmark compares, in curve order.
+var fig11Modes = []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware}
+
 // Fig11 reproduces Fig. 11: the M/G/200 Erlang-loss simulation fed with the
 // measured per-page data-transmission times of each pipeline. The paper
 // reports 14.3% more users on the mobile benchmark and 19.6% on the full
 // benchmark at equal dropping probability.
 func Fig11() (*Fig11Result, error) {
-	mobile, err := MobilePages()
-	if err != nil {
-		return nil, err
+	benches := make([]*Fig11Bench, len(fig11Corpora))
+	for i, c := range fig11Corpora {
+		pages, err := c.pages()
+		if err != nil {
+			return nil, err
+		}
+		if benches[i], err = fig11Bench(c.label, pages, c.sweep); err != nil {
+			return nil, err
+		}
 	}
-	full, err := FullPages()
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig11Result{}
-	if res.Mobile, err = fig11Bench("mobile benchmark", mobile,
-		[]int{300, 350, 400, 450, 500, 550, 600, 650, 700}); err != nil {
-		return nil, err
-	}
-	if res.Full, err = fig11Bench("full benchmark", full,
-		[]int{200, 220, 240, 260, 280, 300, 320, 340, 360}); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &Fig11Result{Mobile: benches[0], Full: benches[1]}, nil
 }
 
+// fig11Bench computes both pipelines' curves concurrently; they land in
+// fig11Modes order, so the result is the same at any worker count.
 func fig11Bench(label string, pages []*webpage.Page, sweep []int) (*Fig11Bench, error) {
-	bench := &Fig11Bench{Label: label}
-	cfg := capacity.DefaultConfig()
-	for _, mode := range []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware} {
-		service, err := transmissionTimes(pages, mode)
-		if err != nil {
-			return nil, err
-		}
-		curve := Fig11Curve{Mode: mode, Users: sweep}
-		results, err := capacity.Sweep(sweep, service, cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			curve.DropPct = append(curve.DropPct, r.DropPercent)
-		}
-		supported, err := capacity.SupportedUsers(service, 2, cfg)
-		if err != nil {
-			return nil, err
-		}
-		curve.SupportedAt2Pct = supported
-		if mode == browser.ModeOriginal {
-			bench.Original = curve
-		} else {
-			bench.Aware = curve
-		}
+	curves, err := runner.Collect(len(fig11Modes), func(i int) (Fig11Curve, error) {
+		curve, _, err := fig11Curve(pages, fig11Modes[i], sweep)
+		return curve, err
+	})
+	if err != nil {
+		return nil, err
 	}
+	bench := &Fig11Bench{Label: label, Original: curves[0], Aware: curves[1]}
 	if bench.Original.SupportedAt2Pct > 0 {
 		bench.CapacityGainPct = float64(bench.Aware.SupportedAt2Pct-bench.Original.SupportedAt2Pct) /
 			float64(bench.Original.SupportedAt2Pct) * 100
 	}
 	return bench, nil
+}
+
+// fig11Curve sweeps one pipeline's dropping probability over the user
+// counts and searches for its population at 2% dropping. It also returns
+// the sweep's full simulation results, which the curve reduces to DropPct.
+func fig11Curve(pages []*webpage.Page, mode browser.Mode, sweep []int) (Fig11Curve, []capacity.Result, error) {
+	cfg := capacity.DefaultConfig()
+	service, err := transmissionTimes(pages, mode)
+	if err != nil {
+		return Fig11Curve{}, nil, err
+	}
+	results, err := capacity.Sweep(sweep, service, cfg)
+	if err != nil {
+		return Fig11Curve{}, nil, err
+	}
+	curve := Fig11Curve{Mode: mode, Users: sweep}
+	for _, r := range results {
+		curve.DropPct = append(curve.DropPct, r.DropPercent)
+	}
+	if curve.SupportedAt2Pct, err = capacity.SupportedUsers(service, 2, cfg); err != nil {
+		return Fig11Curve{}, nil, err
+	}
+	return curve, results, nil
 }
 
 // transmissionTimes loads every page once under mode (in parallel, collected

@@ -2,9 +2,12 @@
 // kernel: a virtual clock, an event queue ordered by (time, insertion
 // sequence), and cancellable timers.
 //
-// Every subsystem in this repository (radio, browser, capacity model) runs on
-// a simtime.Clock instead of the wall clock, which makes experiments exactly
-// reproducible and orders of magnitude faster than real time.
+// The radio, link and browser of every simulated phone run on a
+// simtime.Clock instead of the wall clock, which makes experiments exactly
+// reproducible and orders of magnitude faster than real time. The capacity
+// model's Monte-Carlo has only two kinds of event, so it runs its own
+// allocation-free loop in the same (time, sequence) order; its tests keep a
+// simtime implementation as the oracle that loop must match.
 package simtime
 
 import (
