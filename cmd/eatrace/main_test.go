@@ -21,6 +21,11 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-what"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	for _, h := range []string{"NaN", "Inf", "-Inf"} {
+		if err := run([]string{"-users", "2", "-hours", h}); err == nil {
+			t.Fatalf("-hours %s accepted", h)
+		}
+	}
 }
 
 func TestCSVOutput(t *testing.T) {

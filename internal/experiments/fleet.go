@@ -500,7 +500,7 @@ func (rt *fleetRuntime) runShards(cfg FleetConfig, lo, hi int) ([]FleetShardResu
 		}
 		shLo := sh * cfg.Users / total
 		shHi := (sh + 1) * cfg.Users / total
-		rng := rand.New(rand.NewSource(1)) // reseeded per user
+		rng := rand.New(trace.NewSource(1)) // reseeded per user
 		var visitBuf []trace.Visit
 		var fs foldState
 		for u := shLo; u < shHi; u++ {

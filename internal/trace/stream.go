@@ -48,14 +48,15 @@ func (s *Stream) Pool() []PoolPage { return s.pool }
 // The sequence is deterministic in (Config, u) and independent of any other
 // user's. Safe for concurrent use with distinct buffers.
 func (s *Stream) UserVisits(u int, buf []Visit) []Visit {
-	return s.UserVisitsRand(rand.New(rand.NewSource(userSeed(s.cfg.Seed, u))), u, buf)
+	return s.UserVisitsRand(rand.New(NewSource(0)), u, buf)
 }
 
-// UserVisitsRand is UserVisits with a caller-owned rng, reseeded in place:
-// Seed resets a rand.Rand to exactly the state rand.New(rand.NewSource(seed))
-// constructs, so the sequence is identical while the per-user source+rng
-// allocations (several kB each at fleet scale) disappear. The rng must not
-// be shared across concurrent calls.
+// UserVisitsRand is UserVisits with a caller-owned rng, reseeded in place to
+// the user's seed, so the per-user source+rng allocations (several kB each
+// at fleet scale) disappear. The rng may wrap a Source or math/rand's own
+// source: their output is identical for every seed, but reseeding a Source
+// costs O(1) where math/rand's fills its whole 607-word register. The rng
+// must not be shared across concurrent calls.
 func (s *Stream) UserVisitsRand(rng *rand.Rand, u int, buf []Visit) []Visit {
 	cfg := s.cfg
 	rng.Seed(userSeed(cfg.Seed, u))

@@ -104,19 +104,22 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. The comparisons are written so that
+// NaN fails them: a NaN or infinite browsing budget would make synthesis
+// stop at once or never, and a NaN cap would silently keep every read. An
+// infinite cap is allowed and keeps every read on purpose.
 func (c Config) Validate() error {
 	switch {
 	case c.Users <= 0:
 		return errors.New("trace: need at least one user")
-	case c.HoursPerUser <= 0:
-		return errors.New("trace: hours per user must be positive")
+	case !(c.HoursPerUser > 0) || math.IsInf(c.HoursPerUser, 1):
+		return fmt.Errorf("trace: hours per user = %v, must be positive and finite", c.HoursPerUser)
 	case c.PoolSize <= 0:
 		return errors.New("trace: pool must not be empty")
 	case c.Categories <= 0 || c.LikedCategories <= 0 || c.LikedCategories > c.Categories:
 		return errors.New("trace: bad category setup")
-	case c.CapSeconds <= 0:
-		return errors.New("trace: cap must be positive")
+	case !(c.CapSeconds > 0):
+		return fmt.Errorf("trace: cap = %v s, must be positive", c.CapSeconds)
 	}
 	return nil
 }

@@ -47,6 +47,39 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateNonFinite pins the NaN/Inf guards: each config would
+// otherwise make synthesis append forever (infinite hours), fail later with
+// a misleading "no visits" (NaN hours) or silently keep over-cap reads (NaN
+// cap). Validate is called directly so a missing guard fails instead of
+// hanging.
+func TestConfigValidateNonFinite(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*Config)
+		ok     bool
+	}{
+		{"NaN hours", func(c *Config) { c.HoursPerUser = math.NaN() }, false},
+		{"+Inf hours", func(c *Config) { c.HoursPerUser = math.Inf(1) }, false},
+		{"-Inf hours", func(c *Config) { c.HoursPerUser = math.Inf(-1) }, false},
+		{"NaN cap", func(c *Config) { c.CapSeconds = math.NaN() }, false},
+		{"-Inf cap", func(c *Config) { c.CapSeconds = math.Inf(-1) }, false},
+		{"+Inf cap keeps every read", func(c *Config) { c.CapSeconds = math.Inf(1) }, true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tt.mutate(&cfg)
+			err := cfg.Validate()
+			if tt.ok && err != nil {
+				t.Fatalf("Validate rejected a valid config: %v", err)
+			}
+			if !tt.ok && err == nil {
+				t.Fatalf("Validate accepted %+v", cfg)
+			}
+		})
+	}
+}
+
 func TestDatasetShape(t *testing.T) {
 	ds := dataset(t)
 	cfg := DefaultConfig()
