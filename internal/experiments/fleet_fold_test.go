@@ -1,18 +1,22 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+
+	"eabrowse/internal/stats"
 )
 
-// fleetWith runs Fleet with the fold toggle and sketch budget pinned for the
-// duration of the call. budget 0 keeps the sketches exact, so both engines
-// feed the capacity model identical distributions.
-func fleetWith(t *testing.T, cfg FleetConfig, folded bool, budget int) *FleetResult {
+// fleetWithBudget runs Fleet with the sketch budget pinned for the duration
+// of the call. budget 0 keeps the sketches exact.
+func fleetWithBudget(t *testing.T, cfg FleetConfig, budget int) *FleetResult {
 	t.Helper()
-	oldOff, oldBudget := fleetFoldOff, fleetSketchBudget
-	fleetFoldOff, fleetSketchBudget = !folded, budget
-	defer func() { fleetFoldOff, fleetSketchBudget = oldOff, oldBudget }()
+	old := fleetSketchBudget
+	fleetSketchBudget = budget
+	defer func() { fleetSketchBudget = old }()
 	res, err := Fleet(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -20,72 +24,101 @@ func fleetWith(t *testing.T, cfg FleetConfig, folded bool, budget int) *FleetRes
 	return res
 }
 
-// TestFleetFoldMatchesSequential pins the counted-multiplicity engine
-// against the per-visit templated engine: counters and capacity figures must
-// agree exactly (with exact sketches the two produce the same transmission
-// multiset), energies to floating-point association.
-func TestFleetFoldMatchesSequential(t *testing.T) {
-	cases := []FleetConfig{
-		{Users: 400, HoursPerUser: 0.1, Seed: 20130709},
-		{Users: 200, HoursPerUser: 0.1, Seed: 7, Radio: "lte"},
-		{Users: 200, HoursPerUser: 0.1, Seed: 11, RadioMix: "umts:0.5,nr:0.5"},
-		{Users: 120, HoursPerUser: 0.1, Seed: 3, Channel: "fading"},
+// relErr is |a−b| relative to the larger magnitude (0 when both are 0).
+func relErr(a, b float64) float64 {
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	if scale == 0 {
+		return 0
 	}
-	for _, cfg := range cases {
-		cfg := cfg
-		t.Run(cfg.Radio+cfg.RadioMix+cfg.Channel, func(t *testing.T) {
-			folded := fleetWith(t, cfg, true, 0)
-			seq := fleetWith(t, cfg, false, 0)
+	return math.Abs(a-b) / scale
+}
 
-			if folded.Visits != seq.Visits {
-				t.Fatalf("visits: folded %d, sequential %d", folded.Visits, seq.Visits)
+// fleetDiff lists every way two fleet results disagree: counters must be
+// equal, energies, mean transmission times and per-visit percentiles agree
+// to tol relative. Empty when they match.
+func fleetDiff(a, b *FleetResult, tol float64) []string {
+	var diffs []string
+	count := func(name string, x, y int) {
+		if x != y {
+			diffs = append(diffs, fmt.Sprintf("%s: %d vs %d", name, x, y))
+		}
+	}
+	near := func(name string, x, y float64) {
+		if e := relErr(x, y); e > tol {
+			diffs = append(diffs, fmt.Sprintf("%s: %.12g vs %.12g (rel %.3g)", name, x, y, e))
+		}
+	}
+	count("visits", a.Visits, b.Visits)
+	count("switches", a.Aware.Switches, b.Aware.Switches)
+	count("predictions", a.Aware.Predictions, b.Aware.Predictions)
+	for _, m := range []struct {
+		name string
+		x, y *FleetModeStats
+	}{{"original", &a.Original, &b.Original}, {"aware", &a.Aware, &b.Aware}} {
+		near(m.name+" energy", m.x.EnergyJ, m.y.EnergyJ)
+		near(m.name+" mean trans", m.x.MeanTransmissionS, m.y.MeanTransmissionS)
+		near(m.name+" visit p50", m.x.VisitEnergyP50J, m.y.VisitEnergyP50J)
+		near(m.name+" visit p95", m.x.VisitEnergyP95J, m.y.VisitEnergyP95J)
+		near(m.name+" visit p99", m.x.VisitEnergyP99J, m.y.VisitEnergyP99J)
+	}
+	near("prediction energy", a.Aware.PredictionEnergyJ, b.Aware.PredictionEnergyJ)
+	return diffs
+}
+
+// TestFleetFoldMatchesStep pins the fold against the per-visit step on a
+// multi-segment channel, where the traced engine's full-schedule shaping
+// differs from the epoch approximation both untraced paths share. Clearing
+// rt.folded steps every visit of the same static fleet. With exact sketches
+// the transmission-time multisets must be identical.
+func TestFleetFoldMatchesStep(t *testing.T) {
+	old := fleetSketchBudget
+	fleetSketchBudget = 0
+	defer func() { fleetSketchBudget = old }()
+	for _, cfg := range []FleetConfig{
+		{Users: 40, HoursPerUser: 0.1, Seed: 3, Channel: "fading"},
+		{Users: 40, HoursPerUser: 0.1, Seed: 11, Channel: "fading", RadioMix: "umts:0.4,lte:0.3,nr:0.3"},
+	} {
+		run := func(folded bool) []FleetShardResult {
+			rt, err := newFleetRuntime(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if folded.Aware.Switches != seq.Aware.Switches {
-				t.Fatalf("switches: folded %d, sequential %d", folded.Aware.Switches, seq.Aware.Switches)
+			rt.folded = folded
+			outs, err := rt.runShards(cfg, 0, FleetShardCount(cfg))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if folded.Aware.Predictions != seq.Aware.Predictions {
-				t.Fatalf("predictions: folded %d, sequential %d", folded.Aware.Predictions, seq.Aware.Predictions)
-			}
-			relClose := func(name string, a, b float64) {
-				t.Helper()
-				scale := math.Max(math.Abs(a), math.Abs(b))
-				if scale == 0 {
-					return
+			return outs
+		}
+		foldOuts, stepOuts := run(true), run(false)
+		for i := range foldOuts {
+			for _, sk := range []struct {
+				name string
+				x, y *stats.Sketch
+			}{{"original", foldOuts[i].OrigTrans, stepOuts[i].OrigTrans},
+				{"aware", foldOuts[i].AwareTrans, stepOuts[i].AwareTrans}} {
+				if !reflect.DeepEqual(sk.x.Centroids(), sk.y.Centroids()) {
+					t.Errorf("%+v shard %d: %s transmission sketches differ", cfg, i, sk.name)
 				}
-				if math.Abs(a-b)/scale > 1e-9 {
-					t.Fatalf("%s: folded %v, sequential %v (rel %.3g)", name, a, b, math.Abs(a-b)/scale)
-				}
 			}
-			relClose("original energy", folded.Original.EnergyJ, seq.Original.EnergyJ)
-			relClose("aware energy", folded.Aware.EnergyJ, seq.Aware.EnergyJ)
-			relClose("prediction energy", folded.Aware.PredictionEnergyJ, seq.Aware.PredictionEnergyJ)
-			relClose("orig mean trans", folded.Original.MeanTransmissionS, seq.Original.MeanTransmissionS)
-			relClose("aware mean trans", folded.Aware.MeanTransmissionS, seq.Aware.MeanTransmissionS)
-			// Per-visit energies agree up to association (the fold evaluates
-			// constJ + slopeW·r where the cursor walks stage by stage), so a
-			// quantile may land on a value differing in the last ulps; the
-			// rank it lands on is the same.
-			relClose("orig visit p50", folded.Original.VisitEnergyP50J, seq.Original.VisitEnergyP50J)
-			relClose("orig visit p95", folded.Original.VisitEnergyP95J, seq.Original.VisitEnergyP95J)
-			relClose("orig visit p99", folded.Original.VisitEnergyP99J, seq.Original.VisitEnergyP99J)
-			relClose("aware visit p50", folded.Aware.VisitEnergyP50J, seq.Aware.VisitEnergyP50J)
-			relClose("aware visit p95", folded.Aware.VisitEnergyP95J, seq.Aware.VisitEnergyP95J)
-			relClose("aware visit p99", folded.Aware.VisitEnergyP99J, seq.Aware.VisitEnergyP99J)
-			// With exact sketches the capacity inputs are identical multisets,
-			// so the simulated figures must match to the bit.
-			if folded.Original.SupportedAt2Pct != seq.Original.SupportedAt2Pct ||
-				folded.Aware.SupportedAt2Pct != seq.Aware.SupportedAt2Pct {
-				t.Fatalf("supported@2%%: folded %d/%d, sequential %d/%d",
-					folded.Original.SupportedAt2Pct, folded.Aware.SupportedAt2Pct,
-					seq.Original.SupportedAt2Pct, seq.Aware.SupportedAt2Pct)
-			}
-			if folded.Original.DropPctAtFleet != seq.Original.DropPctAtFleet ||
-				folded.Aware.DropPctAtFleet != seq.Aware.DropPctAtFleet {
-				t.Fatalf("drop@fleet: folded %v/%v, sequential %v/%v",
-					folded.Original.DropPctAtFleet, folded.Aware.DropPctAtFleet,
-					seq.Original.DropPctAtFleet, seq.Aware.DropPctAtFleet)
-			}
-		})
+		}
+		folded, err := FleetFromShards(cfg, foldOuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepped, err := FleetFromShards(cfg, stepOuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := fleetDiff(folded, stepped, 1e-9); len(d) > 0 {
+			t.Errorf("%+v: fold vs step:\n  %s", cfg, strings.Join(d, "\n  "))
+		}
+		if folded.Original.SupportedAt2Pct != stepped.Original.SupportedAt2Pct ||
+			folded.Aware.SupportedAt2Pct != stepped.Aware.SupportedAt2Pct {
+			t.Errorf("%+v: supported@2%%: fold %d/%d, step %d/%d", cfg,
+				folded.Original.SupportedAt2Pct, folded.Aware.SupportedAt2Pct,
+				stepped.Original.SupportedAt2Pct, stepped.Aware.SupportedAt2Pct)
+		}
 	}
 }
 
@@ -100,8 +133,8 @@ func TestFleetFoldMatchesSequential(t *testing.T) {
 // distinct-value count stays under the budget, so no compression fires).
 func TestFleetSketchWithinTolerance(t *testing.T) {
 	cfg := FleetConfig{Users: 300, HoursPerUser: 0.1, Seed: 20130709}
-	def := fleetWith(t, cfg, true, 512)
-	exact := fleetWith(t, cfg, true, 0)
+	def := fleetWithBudget(t, cfg, 512)
+	exact := fleetWithBudget(t, cfg, 0)
 	if def.Original.SupportedAt2Pct != exact.Original.SupportedAt2Pct ||
 		def.Aware.SupportedAt2Pct != exact.Aware.SupportedAt2Pct {
 		t.Fatalf("capacity drifted under default budget: %d/%d vs %d/%d",

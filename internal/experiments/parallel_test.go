@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eabrowse/internal/browser"
+	"eabrowse/internal/netsim"
 	"eabrowse/internal/runner"
 )
 
@@ -158,8 +159,9 @@ func TestBenchmarkPagesFreshSlice(t *testing.T) {
 	}
 }
 
-// TestSessionOptionEquivalence checks that the deprecated constructors and
-// the option form build identical phones (same load outcome).
+// TestSessionOptionEquivalence checks that spelling out the default radio,
+// link and cost model builds the same phone as the bare option form (same
+// load outcome).
 func TestSessionOptionEquivalence(t *testing.T) {
 	page, err := ESPNPage()
 	if err != nil {
@@ -177,8 +179,9 @@ func TestSessionOptionEquivalence(t *testing.T) {
 		return s.Radio.EnergyJ() + r.CPUEnergyJ
 	}
 	viaOptions := load(New(browser.ModeEnergyAware))
-	viaDeprecated := load(NewSession(browser.ModeEnergyAware))
-	if viaOptions != viaDeprecated {
-		t.Errorf("New = %.6f J, NewSession = %.6f J", viaOptions, viaDeprecated)
+	explicit := load(New(browser.ModeEnergyAware, WithRadioModel(DefaultRadioSpec()),
+		WithLinkConfig(netsim.DefaultConfig()), WithCostModel(browser.DefaultCostModel())))
+	if viaOptions != explicit {
+		t.Errorf("New = %.6f J, New with explicit defaults = %.6f J", viaOptions, explicit)
 	}
 }

@@ -244,24 +244,6 @@ func New(mode browser.Mode, opts ...SessionOption) (*Session, error) {
 	return s, nil
 }
 
-// NewSession builds a fresh phone with default radio/link parameters and a
-// browser in the given mode.
-//
-// Deprecated: use New; engine options go through WithEngineOptions.
-func NewSession(mode browser.Mode, opts ...browser.Option) (*Session, error) {
-	return New(mode, WithEngineOptions(opts...))
-}
-
-// NewSessionWithConfig builds a phone with explicit substrate parameters.
-//
-// Deprecated: use New with WithRadioConfig, WithLinkConfig and
-// WithCostModel.
-func NewSessionWithConfig(mode browser.Mode, radioCfg rrc.Config,
-	linkCfg netsim.Config, cost browser.CostModel, opts ...browser.Option) (*Session, error) {
-	return New(mode, WithRadioConfig(radioCfg), WithLinkConfig(linkCfg),
-		WithCostModel(cost), WithEngineOptions(opts...))
-}
-
 // LoadToEnd loads one page and runs the simulation until the final display.
 // The completion callback is bound once per session (not per call), keeping
 // repeated pooled visits allocation-free.
