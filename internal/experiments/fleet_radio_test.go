@@ -4,6 +4,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"eabrowse/internal/browser"
+	"eabrowse/internal/rrc"
 )
 
 // TestFleetRadioValidation checks the radio selection's failure modes: the
@@ -154,5 +158,41 @@ func TestFleetMixWeightsNormalize(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("normalized mixes diverged:\nratio: %+v\nprob:  %+v", a, b)
+	}
+}
+
+// TestFleetRadioStateEveryProfile: every registered radio profile must pass
+// the runtime's drain check and build every template a fleet can ask for —
+// both pipelines, every page, every tail start stage — with no demotion
+// overdue at load end. A profile whose release outlasts its session-break
+// drain must be rejected.
+func TestFleetRadioStateEveryProfile(t *testing.T) {
+	for _, name := range rrc.Profiles() {
+		t.Run(name, func(t *testing.T) {
+			rt, err := newFleetRuntime(FleetConfig{Users: 1, HoursPerUser: 0.01, Radio: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr := &rt.radios[0]
+			for _, pp := range rt.stream.Pool() {
+				for _, mode := range []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware} {
+					for start := 0; start <= fr.tail.TerminalIndex(); start++ {
+						key := tmplKey{page: pp.Name, mode: mode, radio: fr.name, start: start, seg: -1}
+						tm, err := rt.template(fr, key)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if tm.endRem < 0 {
+							t.Fatalf("template %v: endRem %v", key, tm.endRem)
+						}
+					}
+				}
+			}
+			bad := *fr
+			bad.tail.ReleaseDelay = bad.drain + time.Nanosecond
+			if err := bad.checkDrain(); err == nil {
+				t.Fatalf("release of %v longer than the %v drain accepted", bad.tail.ReleaseDelay, bad.drain)
+			}
+		})
 	}
 }

@@ -139,6 +139,10 @@ func (c *Clock) Step() bool {
 		}
 		if e.tm != nil {
 			t := e.tm
+			if !t.tracks(&e) {
+				// Superseded by an entry for an earlier deadline.
+				continue
+			}
 			t.inHeap = false
 			if !t.armed {
 				// Disarmed while queued: garbage entry, drop silently.
@@ -148,8 +152,7 @@ func (c *Clock) Step() bool {
 				// The deadline moved while the entry was queued; requeue at
 				// the real deadline under the seq reserved by the last Arm,
 				// so the firing order is exactly that of an eager re-push.
-				c.queue.pushEntry(entry{at: t.deadline, seq: t.seq, fn: t.fn, tm: t})
-				t.inHeap = true
+				t.push()
 				continue
 			}
 			c.now = e.at
@@ -186,6 +189,10 @@ func (c *Clock) RunUntil(deadline time.Duration) {
 			continue
 		}
 		if tm := next.tm; tm != nil {
+			if !tm.tracks(next) {
+				c.queue.popEntry()
+				continue
+			}
 			if !tm.armed {
 				tm.inHeap = false
 				c.queue.popEntry()
@@ -194,10 +201,8 @@ func (c *Clock) RunUntil(deadline time.Duration) {
 			if tm.deadline > next.at {
 				// Stale entry for a timer whose deadline moved later; requeue
 				// it here so the bound check below sees the real firing time.
-				e := c.queue.popEntry()
-				e.at = tm.deadline
-				e.seq = tm.seq
-				c.queue.pushEntry(e)
+				c.queue.popEntry()
+				tm.push()
 				continue
 			}
 		}
@@ -254,12 +259,14 @@ func (e *Event) Cancelled() bool {
 }
 
 // Timer is a re-armable deadline bound to one callback. Unlike After, which
-// pushes a fresh heap entry per call, re-arming a Timer whose previous entry
-// is still queued only moves its deadline: the stale entry re-queues itself
-// when it surfaces. Each Arm still reserves an insertion sequence number, so
-// the eventual firing order is bit-identical to cancelling and re-pushing
-// eagerly — the RRC inactivity timers re-arm on every transfer, and this
-// keeps them from flooding the queue with cancelled entries.
+// pushes a fresh heap entry per call, re-arming a Timer to a later deadline
+// while its previous entry is still queued only moves the deadline: the
+// stale entry re-queues itself when it surfaces. Re-arming to an earlier
+// deadline pushes a fresh entry and orphans the queued one, which is
+// dropped when it surfaces. Each Arm still reserves an insertion sequence
+// number, so the eventual firing order is bit-identical to cancelling and
+// re-pushing eagerly — the RRC inactivity timers re-arm on every transfer,
+// and this keeps them from flooding the queue with cancelled entries.
 //
 // An armed Timer counts as one pending event, like an outstanding After.
 type Timer struct {
@@ -268,7 +275,11 @@ type Timer struct {
 	deadline time.Duration
 	seq      uint64
 	armed    bool
-	inHeap   bool
+	// inHeap reports a queued entry the timer tracks; qAt and qSeq identify
+	// it among orphaned entries of the same timer.
+	inHeap bool
+	qAt    time.Duration
+	qSeq   uint64
 }
 
 // NewTimer creates a disarmed timer that runs fn when it fires.
@@ -293,10 +304,21 @@ func (t *Timer) Arm(d time.Duration) {
 		t.armed = true
 		c.pending++
 	}
-	if !t.inHeap {
-		c.queue.pushEntry(entry{at: t.deadline, seq: t.seq, fn: t.fn, tm: t})
-		t.inHeap = true
+	if !t.inHeap || t.deadline < t.qAt {
+		t.push()
 	}
+}
+
+// push queues an entry at the timer's deadline and sequence and tracks it.
+func (t *Timer) push() {
+	t.clock.queue.pushEntry(entry{at: t.deadline, seq: t.seq, fn: t.fn, tm: t})
+	t.inHeap, t.qAt, t.qSeq = true, t.deadline, t.seq
+}
+
+// tracks reports whether e is the timer's tracked entry rather than one it
+// orphaned by re-arming earlier.
+func (t *Timer) tracks(e *entry) bool {
+	return t.inHeap && e.at == t.qAt && e.seq == t.qSeq
 }
 
 // Disarm stops the timer; a later Arm reuses it. Disarming an unarmed timer

@@ -281,3 +281,102 @@ func TestPendingCounterMatchesScan(t *testing.T) {
 		t.Fatalf("queue scan = %d after Run, want 0", got)
 	}
 }
+
+// TestTimerRearmEarlier: re-arming a timer whose entry is still queued to an
+// earlier deadline must fire it at the new deadline, exactly once.
+func TestTimerRearmEarlier(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(tm *Timer)
+	}{
+		{"disarm then arm earlier", func(tm *Timer) { tm.Arm(10 * time.Second); tm.Disarm(); tm.Arm(time.Second) }},
+		{"arm then arm earlier", func(tm *Timer) { tm.Arm(10 * time.Second); tm.Arm(time.Second) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewClock()
+			var fired []time.Duration
+			tm := c.NewTimer(func() { fired = append(fired, c.Now()) })
+			tc.arm(tm)
+			c.Run()
+			if len(fired) != 1 || fired[0] != time.Second {
+				t.Fatalf("fired at %v, want once at 1s", fired)
+			}
+			if c.Pending() != 0 || tm.Armed() {
+				t.Fatalf("after Run: Pending = %d, Armed = %v", c.Pending(), tm.Armed())
+			}
+		})
+	}
+	t.Run("run for across the earlier deadline", func(t *testing.T) {
+		c := NewClock()
+		var fired []time.Duration
+		tm := c.NewTimer(func() { fired = append(fired, c.Now()) })
+		tm.Arm(10 * time.Second)
+		tm.Arm(time.Second)
+		c.RunFor(2 * time.Second)
+		if len(fired) != 1 || fired[0] != time.Second {
+			t.Fatalf("RunFor(2s) fired at %v, want once at 1s", fired)
+		}
+		// The orphaned 10 s entry must not fire the timer again, and a re-arm
+		// after it is dropped must still work.
+		c.RunFor(20 * time.Second)
+		tm.Arm(time.Second)
+		c.Run()
+		if want := []time.Duration{time.Second, 23 * time.Second}; len(fired) != 2 || fired[1] != want[1] {
+			t.Fatalf("fired at %v, want %v", fired, want)
+		}
+	})
+}
+
+// TestTimerMatchesEagerEvents drives timers through random Arm, Disarm,
+// Step and RunFor operations and requires them to fire exactly when
+// cancel-and-reschedule events would: same timer, same time, same order.
+func TestTimerMatchesEagerEvents(t *testing.T) {
+	const timers = 4
+	type firing struct {
+		id int
+		at time.Duration
+	}
+	rng := rand.New(rand.NewSource(7))
+	lazy, eager := NewClock(), NewClock()
+	var lazyLog, eagerLog []firing
+	tms := make([]*Timer, timers)
+	evs := make([]*Event, timers)
+	for i := range tms {
+		i := i
+		tms[i] = lazy.NewTimer(func() { lazyLog = append(lazyLog, firing{i, lazy.Now()}) })
+	}
+	for op := 0; op < 20000; op++ {
+		i := rng.Intn(timers)
+		switch rng.Intn(4) {
+		case 0:
+			// Distinct nanosecond deadlines keep same-instant ties out.
+			d := time.Duration(rng.Int63n(int64(10 * time.Second)))
+			tms[i].Arm(d)
+			evs[i].Cancel()
+			evs[i] = eager.After(d, func() { eagerLog = append(eagerLog, firing{i, eager.Now()}) })
+		case 1:
+			tms[i].Disarm()
+			evs[i].Cancel()
+		case 2:
+			lazy.Step()
+			eager.Step()
+		default:
+			d := time.Duration(rng.Int63n(int64(3 * time.Second)))
+			lazy.RunFor(d)
+			eager.RunFor(d)
+		}
+		if lazy.Pending() != eager.Pending() {
+			t.Fatalf("op %d: Pending %d, eager %d", op, lazy.Pending(), eager.Pending())
+		}
+	}
+	lazy.Run()
+	eager.Run()
+	if len(lazyLog) != len(eagerLog) {
+		t.Fatalf("timers fired %d times, eager events %d", len(lazyLog), len(eagerLog))
+	}
+	for k := range lazyLog {
+		if lazyLog[k] != eagerLog[k] {
+			t.Fatalf("firing %d: timer %+v, eager %+v", k, lazyLog[k], eagerLog[k])
+		}
+	}
+}
